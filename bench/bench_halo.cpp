@@ -45,16 +45,13 @@ void BM_HaloExchange(benchmark::State& state) {
   const auto n = static_cast<Index>(state.range(2));
   const int nprocs = static_cast<int>(state.range(3));
   const bool watchdog = state.range(4) != 0;
-  const auto transport = state.range(5) != 0 ? msg::TransportKind::SharedMemory
-                                             : msg::TransportKind::Mailbox;
-  const bool split = state.range(6) != 0;
-  const bool lockstep = state.range(7) != 0;
+  const bool split = state.range(5) != 0;
+  const bool lockstep = state.range(6) != 0;
   constexpr int kExchanges = 64;
 
   state.SetLabel(std::string(shape == 0 ? "halo9" : "halorows") +
                  (cached ? "/cached" : "/cold") + (watchdog ? "/wd" : "") +
-                 (lockstep ? "/lock" : "") + "/" + msg::to_string(transport) +
-                 (split ? "/split" : "/blocking"));
+                 (lockstep ? "/lock" : "") + (split ? "/split" : "/blocking"));
 
   msg::CommStats stats;
   // Median over iterations: the threaded transport makes whole iterations
@@ -67,7 +64,7 @@ void BM_HaloExchange(benchmark::State& state) {
   std::uint64_t faults_injected = 0;
   std::uint64_t lockstep_mismatches = 0;
   for (auto _ : state) {
-    msg::Machine machine(nprocs, {}, transport);
+    msg::Machine machine(nprocs);
     // Armed watchdog = the containment layer's overhead configuration:
     // every blocking recv and barrier waits with a deadline instead of
     // indefinitely.  The deadline is far above any healthy exchange, so
@@ -118,9 +115,8 @@ void BM_HaloExchange(benchmark::State& state) {
       ctx.barrier();
       // The split rows run the identical byte movement through the
       // begin/end pair back-to-back: the delta against the blocking rows
-      // is the split-phase bookkeeping itself, and under the shm
-      // transport the zero-copy hand-off (no compute is overlapped here
-      // -- that methodology row lives in bench_smoothing).
+      // is the split-phase bookkeeping itself (no compute is overlapped
+      // here -- that methodology row lives in bench_smoothing).
       for (int e = 0; e < kExchanges; ++e) {
         if (split) {
           a.begin_exchange_overlap();
@@ -175,8 +171,6 @@ void BM_HaloExchange(benchmark::State& state) {
   state.counters["watchdog_armed"] = watchdog ? 1 : 0;
   state.counters["fence_trips"] = static_cast<double>(fence_trips);
   state.counters["faults_injected"] = static_cast<double>(faults_injected);
-  state.counters["transport_shm"] =
-      transport == msg::TransportKind::SharedMemory ? 1 : 0;
   state.counters["split_phase"] = split ? 1 : 0;
   state.counters["lockstep_armed"] = lockstep ? 1 : 0;
   state.counters["lockstep_mismatches"] =
@@ -186,20 +180,21 @@ void BM_HaloExchange(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_HaloExchange)
-    ->ArgNames({"shape", "cached", "n", "P", "wd", "tr", "split", "lock"})
-    ->ArgsProduct({{0, 1}, {0, 1}, {512, 1024}, {4}, {0}, {0}, {0}, {0}})
+    ->ArgNames({"shape", "cached", "n", "P", "wd", "split", "lock"})
+    ->ArgsProduct({{0, 1}, {0, 1}, {512, 1024}, {4}, {0}, {0}, {0}})
     // Watchdog-armed cached replays: the fence-overhead configuration the
     // CI gate compares against the cold path.
-    ->ArgsProduct({{0, 1}, {1}, {512, 1024}, {4}, {1}, {0}, {0}, {0}})
+    ->ArgsProduct({{0, 1}, {1}, {512, 1024}, {4}, {1}, {0}, {0}})
     // Lockstep-armed cached replays: the divergence-checker-overhead
     // configuration (CI gates armed cached >= 1.5x cold on halorows with
     // zero mismatches and zero scratch growth).
-    ->ArgsProduct({{0, 1}, {1}, {512, 1024}, {4}, {0}, {0}, {0}, {1}})
-    // Transport matrix: the same cached exchange over the framed mailbox
-    // and the zero-copy shared-memory transport, blocking and split-phase
-    // (CI gates shm >= 1.2x mailbox on ns_per_exchange here).
-    ->ArgsProduct({{0, 1}, {1}, {512}, {4, 16}, {0}, {0, 1}, {0, 1}, {0}})
+    ->ArgsProduct({{0, 1}, {1}, {512, 1024}, {4}, {0}, {0}, {1}})
+    // Split-phase parity: the same cached exchange blocking and through
+    // the begin/end pair (CI checks equal accounted traffic per pair; the
+    // P=4 blocking rows are the baseline rows above).
+    ->ArgsProduct({{0, 1}, {1}, {512}, {4}, {0}, {1}, {0}})
+    ->ArgsProduct({{0, 1}, {1}, {512}, {16}, {0}, {0, 1}, {0}})
     // Scale grid for the CI bench job: thin-plane rows at P in {16, 64}.
-    ->ArgsProduct({{1}, {1}, {256}, {16, 64}, {0}, {0, 1}, {0, 1}, {0}})
+    ->ArgsProduct({{1}, {1}, {256}, {16, 64}, {0}, {0, 1}, {0}})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(13);

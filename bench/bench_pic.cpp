@@ -5,7 +5,7 @@
 // iteration).
 //
 // Rows: rebalance period 0 (static BLOCK), 10 (Figure 2), 1 (every step --
-// the over-eager ablation from DESIGN.md section 6).
+// the over-eager ablation).
 // Counters:
 //   mean_imbalance / max_imbalance -- per-step max/mean particle load
 //   makespan_units                 -- modeled computation makespan

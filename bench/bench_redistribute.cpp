@@ -10,7 +10,7 @@
 //   bblock_delta       B_BLOCK rebalance moving ~1/8 of the data
 //   transpose2d        (:,BLOCK) -> (BLOCK,:)  (the ADI remap)
 //   naive_elementwise  BLOCK -> CYCLIC(1) with one message per element --
-//                      the aggregation ablation of DESIGN.md section 6
+//                      the message-aggregation ablation
 //
 // Counters: data_msgs (bounded by P*(P-1) for aggregated patterns),
 // moved_frac (fraction of elements that changed processor), modeled_ms.

@@ -36,15 +36,12 @@ void BM_Smoothing(benchmark::State& state) {
   const int nprocs = static_cast<int>(state.range(2));
   const auto stencil = state.range(3) == 0 ? apps::SmoothStencil::FivePoint
                                            : apps::SmoothStencil::NinePoint;
-  const auto transport = state.range(4) != 0 ? msg::TransportKind::SharedMemory
-                                             : msg::TransportKind::Mailbox;
-  const bool split = state.range(5) != 0;
+  const bool split = state.range(4) != 0;
   const int steps = 4;
   const msg::CostModel cm{};
 
   state.SetLabel(std::string(apps::to_string(layout)) + "/" +
-                 apps::to_string(stencil) + "/" + msg::to_string(transport) +
-                 (split ? "/split" : "/blocking"));
+                 apps::to_string(stencil) + (split ? "/split" : "/blocking"));
 
   msg::CommStats stats;
   double checksum = 0.0;
@@ -53,10 +50,10 @@ void BM_Smoothing(benchmark::State& state) {
   // Wall time of the smoothing run alone (machine spawn excluded), median
   // over iterations: the overlapped-vs-blocking comparison CI gates on a
   // multicore runner reads ns_per_step of the split rows against the
-  // blocking rows at the same (N, P, transport).
+  // blocking rows at the same (N, P).
   std::vector<double> run_seconds;
   for (auto _ : state) {
-    msg::Machine machine(nprocs, cm, transport);
+    msg::Machine machine(nprocs, cm);
     std::atomic<double> secs{0.0};
     msg::run_spmd(machine, [&](msg::Context& ctx) {
       ctx.barrier();
@@ -82,8 +79,6 @@ void BM_Smoothing(benchmark::State& state) {
   std::sort(run_seconds.begin(), run_seconds.end());
   state.counters["ns_per_step"] =
       run_seconds[run_seconds.size() / 2] * 1e9 / steps;
-  state.counters["transport_shm"] =
-      transport == msg::TransportKind::SharedMemory ? 1 : 0;
   state.counters["split_phase"] = split ? 1 : 0;
 
   // Halo-plan cache traffic (machine-wide): the run-based plans are built
@@ -119,16 +114,16 @@ void BM_Smoothing(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_Smoothing)
-    ->ArgNames({"layout", "N", "P", "stencil", "tr", "split"})
-    ->ArgsProduct({{0, 1}, {64, 128, 256, 512}, {4, 16}, {0, 1}, {0}, {0}})
+    ->ArgNames({"layout", "N", "P", "stencil", "split"})
+    ->ArgsProduct({{0, 1}, {64, 128, 256, 512}, {4, 16}, {0, 1}, {0}})
     // Overlap methodology rows (see bench/README.md): split-phase vs
-    // blocking on the 2-D grid at P >= 16, over both transports.  On a
-    // single-core host the split rows measure bookkeeping overhead only;
-    // the >= 1.2x overlap gate applies on multicore CI runners where the
-    // boundary exchange and the interior update genuinely run in
-    // parallel.
-    ->ArgsProduct({{1}, {256, 512}, {16}, {1}, {0, 1}, {0, 1}})
-    // Scale rows for the CI bench job (shm, P in {16, 64}).
-    ->ArgsProduct({{1}, {256}, {16, 64}, {1}, {1}, {0, 1}})
+    // blocking on the 2-D grid at P >= 16 (the blocking 9-point rows at
+    // P=16 are in the grid above).  On a single-core host the split rows
+    // measure bookkeeping overhead only; the >= 1.2x overlap gate applies
+    // on multicore CI runners where the boundary exchange and the
+    // interior update genuinely run in parallel.
+    ->ArgsProduct({{1}, {256, 512}, {16}, {1}, {1}})
+    // Scale rows for the CI bench job (P = 64).
+    ->ArgsProduct({{1}, {256}, {64}, {1}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);

@@ -15,9 +15,9 @@
 //     ENDIF
 //   ENDDO
 //
-// The physics is a synthetic 1-D substitute (see DESIGN.md section 5): a
-// drifting, self-focusing particle cloud whose motion produces exactly the
-// load-imbalance dynamics that motivate general block distributions.
+// The physics is a synthetic 1-D substitute for the paper's application:
+// a drifting, self-focusing particle cloud whose motion produces exactly
+// the load-imbalance dynamics that motivate general block distributions.
 // FIELD holds particle positions (cell-major, NPART slots per cell); the
 // per-cell particle counts live in a secondary array connected to FIELD by
 // alignment, so DISTRIBUTE moves both consistently.

@@ -54,7 +54,7 @@ struct HaloPlan {
   /// [begin, end) of unpack_runs all carry .peer == peer, in the
   /// enumeration order the peer packs.  Split-phase consumers use this to
   /// scatter ONE arriving payload without scanning the whole run list
-  /// (the zero-copy transport hands payloads over peer by peer).
+  /// (end_exchange hands payloads over peer by peer).
   struct PeerRuns {
     int peer;
     std::uint32_t begin;

@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -43,20 +44,6 @@ T apply_op(ReduceOp op, T a, T b) {
   }
   return a;
 }
-
-/// PeerConsumer adapter over a callable -- lets end_exchange take a
-/// lambda without a std::function allocation.
-template <typename F>
-class FnConsumer final : public PeerConsumer {
- public:
-  explicit FnConsumer(F& f) : f_(f) {}
-  void consume(int peer, std::span<const std::byte> bytes) override {
-    f_(peer, bytes);
-  }
-
- private:
-  F& f_;
-};
 
 /// Deserializes a typed payload.  The element count is derived from the
 /// byte size (never from wire-carried counts), so the only failure mode
@@ -500,12 +487,13 @@ class Context {
   // ---- split-phase counted exchange ---------------------------------------
 
   /// Starts a counted exchange on `lane` and returns its matching tag:
-  /// the active transport ships (or publishes) every non-empty remote
-  /// send buffer and returns WITHOUT waiting for anything to arrive.
-  /// The caller may now compute on data unrelated to the exchange --
-  /// that is the whole point -- and must eventually call end_exchange()
-  /// with the returned tag.  The lane's buffers (both sides) must stay
-  /// untouched until end_exchange() returns.
+  /// sends every non-empty remote slot of the lane (send_bytes copies it
+  /// into the destination's mailbox) and returns WITHOUT waiting for
+  /// anything to arrive.  The caller may now compute on data unrelated to
+  /// the exchange -- that is the whole point -- and must eventually call
+  /// end_exchange() with the returned tag.  The send buffers are free for
+  /// reuse at once; the receive buffers belong to the exchange until
+  /// end_exchange() returns.
   ///
   /// Counts as one collective; the count precondition of
   /// alltoallv_known_into applies unchanged.
@@ -515,17 +503,31 @@ class Context {
   /// then receives every expected remote payload into lane.recv(s).
   void end_exchange(ExchangeLane& lane, int tag);
 
-  /// As above, but hands each non-empty payload (local slot included) to
+  /// As above, but hands each non-empty payload to
   /// `consume(int peer, std::span<const std::byte> bytes)` instead of
-  /// unconditionally memcpying into lane.recv(peer).  Under the
-  /// shared-memory transport `bytes` aliases the PEER's send buffer --
-  /// the consumer unpacks zero-copy; under the mailbox transport it is
-  /// lane.recv(peer), already filled.  The consumer must not recurse
-  /// into this context.
+  /// copying it into lane.recv(peer): first the local slot (`bytes` is
+  /// lane.send(rank())), then every expected remote payload in ascending
+  /// source order (`bytes` is the arrived frame, valid only for the
+  /// call).  A remote payload whose size differs from the pre-agreed
+  /// lane.recv(s) size trips the abort fence with this rank as origin.
+  /// The consumer must not recurse into this context.
   template <typename F>
   void end_exchange(ExchangeLane& lane, int tag, F&& consume) {
-    detail::FnConsumer<std::remove_reference_t<F>> c(consume);
-    end_exchange_impl(lane, tag, c);
+    // Both sides of the local transfer are pinned by the same inspector
+    // product, so a size disagreement is a caller bug, not a peer
+    // protocol violation.
+    const auto local = lane.send_bytes(rank_);
+    if (local.size() != lane.recv_bytes(rank_).size()) {
+      throw std::logic_error("end_exchange: local send/recv sizes disagree");
+    }
+    if (!local.empty()) consume(rank_, local);
+    for (int s = 0; s < nprocs(); ++s) {
+      if (s == rank_) continue;
+      const std::size_t expected = lane.recv_bytes(s).size();
+      if (expected == 0) continue;
+      const Message m = recv_counted(s, tag, expected);
+      consume(s, std::span<const std::byte>(m.payload));
+    }
   }
 
   /// Counters of the persistent scratch behind the allocation-free
@@ -645,10 +647,9 @@ class Context {
     }
   }
 
-  /// Shared body of the end_exchange overloads: handles the local slot
-  /// first (size check + consume), then lets the active transport drain
-  /// the remote payloads through `consume`.
-  void end_exchange_impl(ExchangeLane& lane, int tag, PeerConsumer& consume);
+  /// end_exchange's receive: pops rank src's payload under `tag` and
+  /// aborts (this rank as origin) unless it is exactly `bytes` long.
+  [[nodiscard]] Message recv_counted(int src, int tag, std::size_t bytes);
 
   [[nodiscard]] int next_coll_tag() {
     // Collective tags live in the negative tag space, below kAnySource:

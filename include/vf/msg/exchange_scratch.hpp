@@ -24,11 +24,10 @@
 //
 // The lane's receive buffers pair with Context::alltoallv_known_into,
 // which fills caller-owned storage instead of returning freshly
-// allocated vectors -- completing on the receive side the reuse story
-// PR 3's send-side-only transport variant started.  (The simulated
-// transport still copies payloads through mailboxes internally; the
-// counters measure executor-side buffer allocations, which is what the
-// inspector/executor amortization argument is about.)
+// allocated vectors.  (Payloads still travel as mailbox frames, copied
+// out of the send buffers when the exchange begins; the counters measure
+// executor-side buffer allocations, which is what the inspector/executor
+// amortization argument is about.)
 #pragma once
 
 #include <cassert>
@@ -39,8 +38,6 @@
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
-
-#include "vf/msg/transport.hpp"
 
 namespace vf::msg {
 
@@ -61,7 +58,7 @@ class ExchangeLane {
   /// recv_counts[s] are ELEMENT counts (the pre-agreed counts of an
   /// alltoallv_known-style exchange; both vectors must have equal length,
   /// one entry per rank).  Buffer contents are unspecified afterwards --
-  /// the caller packs the send side and the transport fills the receive
+  /// the caller packs the send side and the exchange fills the receive
   /// side.  Capacity is kept across calls, so a repeat exchange of the
   /// same (or smaller) geometry performs no heap allocation.
   void prepare(std::span<const std::uint64_t> send_counts,
@@ -85,7 +82,7 @@ class ExchangeLane {
     return {reinterpret_cast<const T*>(b.data()), b.size() / sizeof(T)};
   }
 
-  /// Raw byte views (what the transport reads/writes).
+  /// Raw byte views (what the counted exchange reads/writes).
   [[nodiscard]] std::span<const std::byte> send_bytes(int peer) const noexcept {
     return send_[static_cast<std::size_t>(peer)];
   }
@@ -98,35 +95,10 @@ class ExchangeLane {
   /// executors used to allocate).
   [[nodiscard]] std::span<std::size_t> cursors() noexcept { return cursors_; }
 
-  /// Internal (Context::begin_exchange): remembers that this lane's send
-  /// buffers are published to `tx` under `tag` until the matching
-  /// end_exchange retires them.  If the lane is destroyed or re-prepared
-  /// with the publication outstanding -- a rank unwinding out of a
-  /// split-phase exchange -- the publication is withdrawn first, so no
-  /// peer is left reading freed memory.  The transport must outlive the
-  /// pending window; Machine keeps its transports for its own lifetime.
-  void note_published(Transport* tx, int rank, int tag) noexcept {
-    pending_tx_ = tx;
-    pending_rank_ = rank;
-    pending_tag_ = tag;
-  }
-  /// Internal (Context::end_exchange): the exchange completed (or the
-  /// transport already withdrew on its abort path); nothing is pending.
-  void note_retired() noexcept { pending_tx_ = nullptr; }
-
-  ~ExchangeLane() { abandon_pending(); }
-
  private:
   friend class ExchangeScratch;
   ExchangeLane(ExchangeScratch* owner, std::size_t elem_size)
       : owner_(owner), elem_size_(elem_size) {}
-
-  void abandon_pending() noexcept {
-    if (pending_tx_ != nullptr) {
-      pending_tx_->withdraw(pending_rank_, pending_tag_);
-      pending_tx_ = nullptr;
-    }
-  }
 
   template <typename T>
   static void check_type() noexcept {
@@ -145,12 +117,6 @@ class ExchangeLane {
   std::vector<std::vector<std::byte>> send_;
   std::vector<std::vector<std::byte>> recv_;
   std::vector<std::size_t> cursors_;
-
-  // In-flight publication of the send buffers (split-phase window
-  // between begin_exchange and end_exchange); see note_published.
-  Transport* pending_tx_ = nullptr;
-  int pending_rank_ = -1;
-  int pending_tag_ = -1;
 };
 
 /// A small arena of ExchangeLanes keyed by element size, plus the
@@ -238,10 +204,6 @@ inline void ExchangeLane::prepare(std::span<const std::uint64_t> send_counts,
     throw std::invalid_argument(
         "ExchangeLane::prepare: send/recv count vectors differ in length");
   }
-  // Re-preparing over an abandoned split-phase exchange (the caller
-  // caught the abort and reuses the lane): reclaim the published buffers
-  // before resizing them out from under a peer.
-  abandon_pending();
   ++owner_->stats_.prepares;
   const std::size_t np = send_counts.size();
   if (send_.capacity() < np) ++owner_->stats_.grow_allocs;

@@ -1,9 +1,10 @@
 // The virtual distributed-memory machine.
 //
-// This is the substrate substitution documented in DESIGN.md section 5: the
-// paper ran on Intel iPSC-class hardware; we run P virtual processors as P
-// host threads, each with private local memory (whatever the per-rank code
-// allocates) and a message-passing fabric with buffered sends.  All
+// This is the substrate substitution: the paper ran on Intel iPSC-class
+// hardware; we run P virtual processors as P host threads, each with
+// private local memory (whatever the per-rank code allocates) and one
+// message-passing fabric with buffered sends (the mailboxes).  Every
+// message, counted exchanges included, travels through deliver().  All
 // communication is metered per rank (CommStats) and priced by a CostModel,
 // so the experiments can report machine-independent message counts/volumes
 // as well as modeled time.
@@ -21,9 +22,15 @@
 #include "vf/msg/fault.hpp"
 #include "vf/msg/lockstep.hpp"
 #include "vf/msg/mailbox.hpp"
-#include "vf/msg/transport.hpp"
 
 namespace vf::msg {
+
+/// Kept because the step benchmark records the kind in its machine context.
+enum class TransportKind { Mailbox };
+
+[[nodiscard]] constexpr const char* to_string(TransportKind /*k*/) noexcept {
+  return "mailbox";
+}
 
 /// Shared state of a P-processor virtual machine.  Construct once, then run
 /// SPMD programs on it with run_spmd() (see spmd.hpp).  Thread-safe, and
@@ -32,28 +39,7 @@ namespace vf::msg {
 class Machine {
  public:
   /// Creates a machine with `nprocs` virtual processors.  nprocs >= 1.
-  ///
-  /// `transport` selects how counted exchanges (alltoallv_known_into and
-  /// the split-phase begin/end_exchange pair) move lane buffers:
-  ///
-  ///   * TransportKind::Mailbox (default) -- every payload serializes
-  ///     into a mailbox frame through deliver(), carrying the full
-  ///     failure-containment stack (per-link sequence numbers, checksums,
-  ///     fault injection);
-  ///   * TransportKind::SharedMemory -- counted exchanges hand lane
-  ///     buffers off pointer-wise between rank threads (an on-node halo
-  ///     exchange is two memcpys, no frame serialization).  All OTHER
-  ///     traffic still rides deliver(), and the zero-copy rendezvous is
-  ///     fence-registered and watchdog-aware, so aborts and deadlock
-  ///     reports work unchanged.
-  ///
-  /// The default comes from the VF_TRANSPORT environment variable
-  /// ("mailbox" | "shm"; unset means mailbox) -- the switch CI's
-  /// transport-matrix job flips to run the whole suite over both.  Both
-  /// transports are constructed up front; set_transport() swaps between
-  /// them at any point with no SPMD run in flight.
-  explicit Machine(int nprocs, CostModel cm = {},
-                   TransportKind transport = default_transport_kind());
+  explicit Machine(int nprocs, CostModel cm = {});
 
   [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
   [[nodiscard]] const CostModel& cost_model() const noexcept { return cm_; }
@@ -71,15 +57,9 @@ class Machine {
   /// race-free (see barrier_wait).
   [[nodiscard]] CommStats& stats(int rank);
 
-  /// The active counted-exchange transport (see the constructor docs).
-  [[nodiscard]] Transport& transport() noexcept { return *active_transport_; }
   [[nodiscard]] TransportKind transport_kind() const noexcept {
-    return active_transport_->kind();
+    return TransportKind::Mailbox;
   }
-  /// Switches the active transport.  Only safe with no SPMD run in
-  /// flight; in-flight split-phase exchanges must complete under the
-  /// transport they began on.
-  void set_transport(TransportKind k) noexcept;
 
   /// Sum of all per-rank statistics.  Serialized under the barrier lock;
   /// see stats() for when a machine-wide read is safe.
@@ -166,13 +146,6 @@ class Machine {
   AbortFence fence_;  // before boxes_: mailboxes register wakes with it
   LockstepChecker lockstep_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;
-
-  // Both transports live for the machine's lifetime (the shared-memory
-  // one registers fence wake-ups at construction, which cannot be
-  // undone); switching only swaps the active pointer.
-  std::unique_ptr<Transport> mailbox_transport_;
-  std::unique_ptr<Transport> shm_transport_;
-  Transport* active_transport_ = nullptr;
 
   // Stats are padded to their own cache lines: every send bumps the
   // sender's counters and ranks run concurrently.

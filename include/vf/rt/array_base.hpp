@@ -530,7 +530,7 @@ class DistArrayBase {
   std::uint64_t halo_spec_exchanges_ = 0;
   std::shared_ptr<ConnectClass> cclass_;
 
-  // Split-phase overlap exchange state: the transport tag the begin
+  // Split-phase overlap exchange state: the exchange tag the begin
   // returned and the plan it packed under, pinned so the end unpacks the
   // exact same geometry even if the Env's plan cache evicts the entry
   // mid-flight.

@@ -228,7 +228,7 @@ class DistArray final : public DistArrayBase {
   //
   // begin_exchange_overlap() packs this rank's boundary planes (a
   // SNAPSHOT: later owned writes do not affect what peers receive) and
-  // starts the exchange on the machine's active transport;
+  // sends it;
   // end_exchange_overlap() completes it, scattering arriving payloads
   // into the ghost planes.  Between the two calls:
   //
@@ -726,8 +726,10 @@ class DistArray final : public DistArrayBase {
 
     // Tag the exchange with the (old, new) distribution identity: a
     // lockstep-armed run reports WHICH flip diverged, not just that one
-    // did.
-    ctx.lockstep_note(plan_key(odp, ndp));
+    // did.  Structural fingerprints, not uids: the registry is per rank,
+    // and per-rank cache budgets make sweeps (and so uids) rank-dependent.
+    ctx.lockstep_note(msg::mix64(odp->fingerprint() ^
+                                 msg::mix64(ndp->fingerprint())));
     ctx.alltoallv_known_into(lane);
 
     // ---- install the new distribution and unpack ------------------------
@@ -865,7 +867,7 @@ void DistArray<T>::begin_exchange_overlap() {
   const std::shared_ptr<const halo::HaloPlan> plan = lookup_halo_plan();
 
   // Executor, send half: one memcpy per run into exactly-sized buffers,
-  // then hand the lane to the active transport.  Buffers and cursors live
+  // then send each peer's buffer.  Buffers and cursors live
   // in the array's shared exchange scratch (the same facility DISTRIBUTE
   // replay uses): a repeat exchange performs no heap allocation on either
   // side.
@@ -883,11 +885,11 @@ void DistArray<T>::begin_exchange_overlap() {
   // Tag the exchange with the (array, distribution) identity so a
   // lockstep-armed run names which array's ghost exchange diverged.  The
   // note must be SPMD-uniform, so it folds the array NAME, not the halo
-  // spec uid: asymmetric declarations give every rank a legitimately
-  // different local spec.
+  // spec uid (asymmetric declarations give every rank a legitimately
+  // different local spec), and the distribution's fingerprint, not its
+  // uid (per-rank sweeps make uids rank-dependent).
   std::uint64_t note =
-      msg::mix64(static_cast<std::uint64_t>(dist_handle().uid()) ^
-                 0x9e3779b97f4a7c15ULL);
+      msg::mix64(dist_handle()->fingerprint() ^ 0x9e3779b97f4a7c15ULL);
   for (const char c : name_) {
     note = msg::mix64(note ^ static_cast<unsigned char>(c));
   }
@@ -906,12 +908,10 @@ void DistArray<T>::end_exchange_overlap() {
   T* dst = local_.data();
   // Executor, receive half: scatter each arriving payload straight into
   // the ghost planes, peer by peer, via the plan's grouped unpack runs.
-  // Under the shared-memory transport `bytes` aliases the PEER's packed
-  // send buffer -- the whole transfer is pack memcpy + this scatter, no
-  // intermediate frame; under the mailbox transport it is this lane's
-  // already-filled recv buffer.  Within one peer the runs advance a
-  // cursor in block order, consuming the payload in exactly the order the
-  // peer packed it.
+  // `bytes` is the arrived frame (this rank's own send slot for the local
+  // peer), so no copy into the lane's recv buffers happens first.  Within
+  // one peer the runs advance a cursor in block order, consuming the
+  // payload in exactly the order the peer packed it.
   env_->comm().end_exchange(
       lane, pending_exchange_tag_,
       [&](int peer, std::span<const std::byte> bytes) {

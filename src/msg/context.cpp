@@ -41,27 +41,6 @@ void Context::recv_bytes_into(int src, int tag, std::span<std::byte> dst) {
   if (!dst.empty()) std::memcpy(dst.data(), m.payload.data(), dst.size());
 }
 
-namespace {
-
-/// The default end_exchange consumer: fills lane.recv(peer).  When the
-/// transport already received in place (mailbox: `bytes` IS the lane's
-/// recv buffer) the copy is skipped; when `bytes` aliases the peer's send
-/// buffer (shared memory) this memcpy is the entire receive-side cost.
-class LaneFillConsumer final : public PeerConsumer {
- public:
-  explicit LaneFillConsumer(ExchangeLane& lane) : lane_(&lane) {}
-  void consume(int peer, std::span<const std::byte> bytes) override {
-    const auto dst = lane_->recv_bytes(peer);
-    if (bytes.data() == dst.data() || bytes.empty()) return;
-    std::memcpy(dst.data(), bytes.data(), bytes.size());
-  }
-
- private:
-  ExchangeLane* lane_;
-};
-
-}  // namespace
-
 int Context::begin_exchange(ExchangeLane& lane) {
   if (lane.peers() != nprocs()) {
     throw std::invalid_argument(
@@ -78,38 +57,29 @@ int Context::begin_exchange(ExchangeLane& lane) {
     }
     lockstep_record_counted(LockstepOp::Exchange, tag, 1);
   }
-  m_->transport().begin(*this, lane, tag);
-  // The lane now has publications in flight: if this rank unwinds before
-  // end_exchange (split-phase window), the lane's destructor withdraws
-  // them so no peer reads freed memory.
-  lane.note_published(&m_->transport(), rank_, tag);
+  for (int d = 0; d < nprocs(); ++d) {
+    if (d == rank_) continue;
+    const auto payload = lane.send_bytes(d);
+    if (!payload.empty()) send_bytes(d, tag, payload);
+  }
   return tag;
 }
 
 void Context::end_exchange(ExchangeLane& lane, int tag) {
-  LaneFillConsumer fill(lane);
-  end_exchange_impl(lane, tag, fill);
+  end_exchange(lane, tag, [&lane](int peer, std::span<const std::byte> bytes) {
+    std::memcpy(lane.recv_bytes(peer).data(), bytes.data(), bytes.size());
+  });
 }
 
-void Context::end_exchange_impl(ExchangeLane& lane, int tag,
-                                PeerConsumer& consume) {
-  // Local slot: delivered by consume, never through the transport.  Both
-  // sides of the local transfer are pinned by the same inspector product,
-  // so a size disagreement is a caller bug, not a peer protocol violation.
-  {
-    const auto src = lane.send_bytes(rank_);
-    const auto dst = lane.recv_bytes(rank_);
-    if (src.size() != dst.size()) {
-      throw std::logic_error("end_exchange: local send/recv sizes disagree");
-    }
-    if (!src.empty()) consume.consume(rank_, src);
+Message Context::recv_counted(int src, int tag, std::size_t bytes) {
+  Message m = m_->mailbox(rank_).pop(src, tag);
+  if (m.payload.size() != bytes) {
+    abort("end_exchange: payload from rank " + std::to_string(src) + " (tag " +
+          std::to_string(tag) + ") is " + std::to_string(m.payload.size()) +
+          " bytes, expected " + std::to_string(bytes) +
+          " (pre-agreed counts disagree between the two sides)");
   }
-  m_->transport().end(*this, lane, tag, consume);
-  // All publications acked and retired; nothing left for the lane's
-  // destructor to withdraw.  (On the throw path the transport's own
-  // abort handling already reclaimed them; the destructor's repeat
-  // withdraw is an idempotent no-op.)
-  lane.note_retired();
+  return m;
 }
 
 void Context::alltoallv_known_into(ExchangeLane& lane) {

@@ -21,7 +21,7 @@ bool lockstep_env_default() {
 }
 }  // namespace
 
-Machine::Machine(int nprocs, CostModel cm, TransportKind transport)
+Machine::Machine(int nprocs, CostModel cm)
     : nprocs_(checked_nprocs(nprocs)),
       cm_(cm),
       fence_(nprocs),
@@ -35,15 +35,6 @@ Machine::Machine(int nprocs, CostModel cm, TransportKind transport)
   link_seq_.assign(
       static_cast<std::size_t>(nprocs) * static_cast<std::size_t>(nprocs), 0);
   fence_.register_wake(&barrier_mu_, &barrier_cv_);
-  mailbox_transport_ = make_transport(TransportKind::Mailbox, fence_, nprocs);
-  shm_transport_ = make_transport(TransportKind::SharedMemory, fence_, nprocs);
-  set_transport(transport);
-}
-
-void Machine::set_transport(TransportKind k) noexcept {
-  active_transport_ = k == TransportKind::SharedMemory
-                          ? shm_transport_.get()
-                          : mailbox_transport_.get();
 }
 
 Mailbox& Machine::mailbox(int rank) {
@@ -228,8 +219,6 @@ void Machine::reset_failure_state() {
     std::lock_guard lk(barrier_mu_);
     barrier_count_ = 0;
   }
-  mailbox_transport_->reset();
-  shm_transport_->reset();
   lockstep_.reset();
 }
 

@@ -87,13 +87,11 @@ constexpr FaultKind kKinds[] = {FaultKind::Drop, FaultKind::Delay,
 /// count deliveries, picks a seeded injection point, and asserts the
 /// faulted run aborts in-process with a coherent per-rank report.
 void fuzz_one(const Workload& w, int nprocs, FaultKind kind,
-              std::uint64_t seed,
-              msg::TransportKind transport = msg::TransportKind::Mailbox) {
+              std::uint64_t seed) {
   SCOPED_TRACE(std::string(w.name) + " P=" + std::to_string(nprocs) +
                " fault=" + msg::to_string(kind) +
-               " seed=" + std::to_string(seed) +
-               " transport=" + msg::to_string(transport));
-  Machine m(nprocs, {}, transport);
+               " seed=" + std::to_string(seed));
+  Machine m(nprocs);
   m.set_recv_watchdog(kWatchdog);
 
   m.set_fault_plan({});  // baseline: count the deliveries of a clean run
@@ -154,24 +152,14 @@ TEST(FaultFuzz, RedistributeP9) {
   for (const FaultKind k : kKinds) fuzz_one(kWorkloads[2], 9, k, 0xF0 + static_cast<std::uint64_t>(k));
 }
 
-// Under the zero-copy transport the counted exchanges bypass deliver(),
-// but every OTHER frame (spec exchanges, reductions, barriers, parti
-// traffic) still rides it -- an injected fault there must wake ranks
-// blocked in the shared-memory rendezvous through the fence, never hang
-// them.  The split-phase smoothing body keeps an exchange in flight
-// around the interior update, so aborts land mid-exchange by design.
-TEST(FaultFuzz, SplitSmoothingShmP4) {
+// The split-phase smoothing body keeps an exchange in flight around the
+// interior update, so aborts land mid-exchange by design: an injected
+// fault must wake ranks blocked inside the split-phase window through the
+// fence, never hang them.
+TEST(FaultFuzz, SplitSmoothingP4) {
   const Workload w{"smoothing-split", smoothing_split_body};
   for (const FaultKind k : kKinds) {
-    fuzz_one(w, 4, k, 0x1A0 + static_cast<std::uint64_t>(k),
-             msg::TransportKind::SharedMemory);
-  }
-}
-
-TEST(FaultFuzz, AmrFrontShmP9) {
-  for (const FaultKind k : kKinds) {
-    fuzz_one(kWorkloads[1], 9, k, 0x1B0 + static_cast<std::uint64_t>(k),
-             msg::TransportKind::SharedMemory);
+    fuzz_one(w, 4, k, 0x1A0 + static_cast<std::uint64_t>(k));
   }
 }
 

@@ -2,8 +2,8 @@
 // convert collective divergence -- mismatched tags, mismatched exchange
 // counts, op-order disagreement, one rank skipping an exchange -- into a
 // deterministic LockstepMismatch naming the first diverging op, instead of
-// a watchdog timeout or a silent hang.  Every scenario runs at P in {4, 9}
-// on both transports, and the machine must stay reusable afterwards.
+// a watchdog timeout or a silent hang.  Every scenario runs at P in {4, 9},
+// and the machine must stay reusable afterwards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,32 +15,23 @@
 #include "spmd_test_util.hpp"
 #include "vf/msg/exchange_scratch.hpp"
 #include "vf/msg/lockstep.hpp"
-#include "vf/msg/transport.hpp"
 
 namespace vf::msg {
 namespace {
 
 using testing::SpmdChecker;
 
-struct LockstepParam {
-  int np;
-  TransportKind transport;
-};
-
-std::string param_name(const ::testing::TestParamInfo<LockstepParam>& pinfo) {
+std::string param_name(const ::testing::TestParamInfo<int>& pinfo) {
   std::string s = "P";
-  s += std::to_string(pinfo.param.np);
-  s += '_';
-  s += to_string(pinfo.param.transport);
+  s += std::to_string(pinfo.param);
   return s;
 }
 
-class LockstepSuite : public ::testing::TestWithParam<LockstepParam> {
+class LockstepSuite : public ::testing::TestWithParam<int> {
  protected:
   // Machine owns mutexes and atomics (immovable): heap-construct it.
   [[nodiscard]] std::unique_ptr<Machine> make_armed() const {
-    auto m = std::make_unique<Machine>(GetParam().np, CostModel{},
-                                       GetParam().transport);
+    auto m = std::make_unique<Machine>(GetParam());
     m->set_lockstep_check(true);
     return m;
   }
@@ -202,7 +193,7 @@ TEST_P(LockstepSuite, SkippedExchangeCaught) {
 }
 
 TEST_P(LockstepSuite, DisabledHasNoFootprint) {
-  Machine m(GetParam().np, {}, GetParam().transport);
+  Machine m(GetParam());
   // Explicit disarm: the machine may have been armed by VF_LOCKSTEP=1 in
   // the environment (the CI lockstep leg runs this whole suite armed).
   m.set_lockstep_check(false);
@@ -220,11 +211,7 @@ TEST_P(LockstepSuite, DisabledHasNoFootprint) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, LockstepSuite,
-    ::testing::Values(LockstepParam{4, TransportKind::Mailbox},
-                      LockstepParam{4, TransportKind::SharedMemory},
-                      LockstepParam{9, TransportKind::Mailbox},
-                      LockstepParam{9, TransportKind::SharedMemory}),
-    param_name);
+    ::testing::Values(4, 9), param_name);
 
 TEST(LockstepEnv, VfLockstepArmsTheMachine) {
   const char* old = std::getenv("VF_LOCKSTEP");

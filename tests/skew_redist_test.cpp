@@ -73,65 +73,27 @@ TEST(PeerStats, AddPeerMergeAndZeroPaddedEquality) {
 }
 
 /// Every data-payload bump site also bumps the per-peer counters, so the
-/// per-peer rows partition the aggregate exactly -- on both transports.
-TEST(PeerStats, RowsPartitionAggregateOnBothTransports) {
-  for (const auto kind :
-       {msg::TransportKind::Mailbox, msg::TransportKind::SharedMemory}) {
-    msg::Machine m(4, {}, kind);
-    run_checked_on(m, [](Context& ctx, SpmdChecker& ck) {
-      Env env(ctx);
-      const IndexDomain dom({dist::Range{1, 64}});
-      DistArray<double> a(env, {.name = "A",
-                                .domain = dom,
-                                .dynamic = true,
-                                .initial = {{dist::block()}}});
-      a.init([](const IndexVec& i) { return static_cast<double>(i[0]); });
-      a.distribute(DistributionType{dist::cyclic(1)});
-      const msg::CommStats& st = ctx.stats();
-      std::uint64_t bytes = 0;
-      std::uint64_t msgs = 0;
-      for (const std::uint64_t b : st.peer_bytes) bytes += b;
-      for (const std::uint64_t n : st.peer_messages) msgs += n;
-      ck.check_eq(bytes, st.data_bytes, ctx.rank(), "peer bytes partition");
-      ck.check_eq(msgs, st.data_messages, ctx.rank(),
-                  "peer messages partition");
-      ck.check(st.data_bytes > 0, ctx.rank(), "redistribution moved data");
-    });
-  }
-}
-
-/// The per-peer data rows agree across transports for the same program
-/// (ctl traffic differs by design and is deliberately not counted
-/// per-peer).
-TEST(PeerStats, PerPeerDataRowsAreTransportInvariant) {
-  constexpr int kProcs = 4;
-  std::vector<std::vector<std::uint64_t>> rows[2];
-  int which = 0;
-  for (const auto kind :
-       {msg::TransportKind::Mailbox, msg::TransportKind::SharedMemory}) {
-    rows[which].assign(kProcs, {});
-    msg::Machine m(kProcs, {}, kind);
-    run_checked_on(m, [&](Context& ctx, SpmdChecker&) {
-      Env env(ctx);
-      const IndexDomain dom({dist::Range{1, 96}});
-      DistArray<double> a(env, {.name = "A",
-                                .domain = dom,
-                                .dynamic = true,
-                                .initial = {{dist::block()}}});
-      a.init([](const IndexVec& i) { return static_cast<double>(i[0]); });
-      a.distribute(DistributionType{dist::cyclic(2)});
-      a.distribute(DistributionType{dist::block()});
-      std::vector<std::uint64_t> mine = ctx.stats().peer_bytes;
-      mine.resize(kProcs, 0);
-      rows[which][static_cast<std::size_t>(ctx.rank())] = std::move(mine);
-    });
-    ++which;
-  }
-  for (int r = 0; r < kProcs; ++r) {
-    EXPECT_EQ(rows[0][static_cast<std::size_t>(r)],
-              rows[1][static_cast<std::size_t>(r)])
-        << "per-peer data bytes of rank " << r << " differ across transports";
-  }
+/// per-peer rows partition the aggregate exactly.
+TEST(PeerStats, RowsPartitionAggregate) {
+  run_checked(4, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    const IndexDomain dom({dist::Range{1, 64}});
+    DistArray<double> a(env, {.name = "A",
+                              .domain = dom,
+                              .dynamic = true,
+                              .initial = {{dist::block()}}});
+    a.init([](const IndexVec& i) { return static_cast<double>(i[0]); });
+    a.distribute(DistributionType{dist::cyclic(1)});
+    const msg::CommStats& st = ctx.stats();
+    std::uint64_t bytes = 0;
+    std::uint64_t msgs = 0;
+    for (const std::uint64_t b : st.peer_bytes) bytes += b;
+    for (const std::uint64_t n : st.peer_messages) msgs += n;
+    ck.check_eq(bytes, st.data_bytes, ctx.rank(), "peer bytes partition");
+    ck.check_eq(msgs, st.data_messages, ctx.rank(),
+                "peer messages partition");
+    ck.check(st.data_bytes > 0, ctx.rank(), "redistribution moved data");
+  });
 }
 
 // ---- detection + hybridization units --------------------------------------
@@ -401,50 +363,44 @@ DistributionType random_dist_1d(std::mt19937& rng, Index n, int nprocs) {
 
 /// Twin arrays through identical random DISTRIBUTE chains -- one with the
 /// skew machinery off (the all-to-owner reference), one forced hybrid --
-/// must stay bitwise identical on dyadic values, at every machine size
-/// and under both transports.
+/// must stay bitwise identical on dyadic values, at every machine size.
 TEST(SkewRedist, FuzzHybridMatchesAllToOwnerBitwise) {
   constexpr Index kN = 96;
   constexpr int kSteps = 10;
   for (const int np : {1, 4, 9}) {
-    for (const auto kind :
-         {msg::TransportKind::Mailbox, msg::TransportKind::SharedMemory}) {
-      msg::Machine m(np, {}, kind);
-      run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
-        Env env(ctx);
-        const IndexDomain dom({dist::Range{1, kN}});
-        DistArray<double> ref(env, {.name = "REF",
-                                    .domain = dom,
-                                    .dynamic = true,
-                                    .initial = {{dist::block()}}});
-        DistArray<double> hyb(env, {.name = "HYB",
-                                    .domain = dom,
-                                    .dynamic = true,
-                                    .initial = {{dist::block()}}});
-        const auto fingerprint = [&](const IndexVec& i) {
-          return 0.5 * static_cast<double>(dom.linearize(i) % 1024);
-        };
-        ref.init(fingerprint);
-        hyb.init(fingerprint);
-        // Force: hybridize every applicable flip, skewed or not -- the
-        // widest stress of the rewrite.
-        hyb.set_skew_policy(DistArrayBase::SkewPolicy::Force,
-                            /*threshold=*/4.0, /*cap_factor=*/1.0);
-        // Same seed on every rank: the chain is SPMD-deterministic.
-        std::mt19937 rng(1234u + static_cast<unsigned>(np) +
-                         (kind == msg::TransportKind::SharedMemory ? 7u : 0u));
-        for (int step = 0; step < kSteps; ++step) {
-          const DistributionType t = random_dist_1d(rng, kN, np);
-          ref.distribute(t);
-          hyb.distribute(t);
-          const auto gr = ref.gather_global();
-          const auto gh = hyb.gather_global();
-          ck.check(gr == gh, ctx.rank(),
-                   "bitwise divergence at np=" + std::to_string(np) +
-                       " step=" + std::to_string(step));
-        }
-      });
-    }
+    run_checked(np, [&](Context& ctx, SpmdChecker& ck) {
+      Env env(ctx);
+      const IndexDomain dom({dist::Range{1, kN}});
+      DistArray<double> ref(env, {.name = "REF",
+                                  .domain = dom,
+                                  .dynamic = true,
+                                  .initial = {{dist::block()}}});
+      DistArray<double> hyb(env, {.name = "HYB",
+                                  .domain = dom,
+                                  .dynamic = true,
+                                  .initial = {{dist::block()}}});
+      const auto fingerprint = [&](const IndexVec& i) {
+        return 0.5 * static_cast<double>(dom.linearize(i) % 1024);
+      };
+      ref.init(fingerprint);
+      hyb.init(fingerprint);
+      // Force: hybridize every applicable flip, skewed or not -- the
+      // widest stress of the rewrite.
+      hyb.set_skew_policy(DistArrayBase::SkewPolicy::Force,
+                          /*threshold=*/4.0, /*cap_factor=*/1.0);
+      // Same seed on every rank: the chain is SPMD-deterministic.
+      std::mt19937 rng(1234u + static_cast<unsigned>(np));
+      for (int step = 0; step < kSteps; ++step) {
+        const DistributionType t = random_dist_1d(rng, kN, np);
+        ref.distribute(t);
+        hyb.distribute(t);
+        const auto gr = ref.gather_global();
+        const auto gh = hyb.gather_global();
+        ck.check(gr == gh, ctx.rank(),
+                 "bitwise divergence at np=" + std::to_string(np) +
+                     " step=" + std::to_string(step));
+      }
+    });
   }
 }
 
@@ -575,7 +531,7 @@ TEST(PartiSkew, UniformRequestsStayAllToOwner) {
 /// RankAbort on every peer (the abort fence wakes them out of the flip's
 /// exchange), with the failure report naming the origin.
 TEST(SkewAbort, AbortMidHybridFlipSurfacesAsRankAbort) {
-  msg::Machine m(4, {}, msg::TransportKind::Mailbox);
+  msg::Machine m(4);
   m.set_recv_watchdog(std::chrono::milliseconds(5000));
   try {
     msg::run_spmd(m, [](Context& ctx) {

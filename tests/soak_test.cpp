@@ -17,6 +17,7 @@ namespace {
 
 using msg::Context;
 using testing::run_checked;
+using testing::run_checked_on;
 using testing::SpmdChecker;
 
 TEST(Soak, SplitSizesAreExactAndRespectTheFloor) {
@@ -89,6 +90,32 @@ TEST(Soak, ResidencyPlateausUnderBudgetPressure) {
     ck.check(res.halo_plan_hits > 0, ctx.rank(),
              "the cache still serves hits under pressure");
   });
+}
+
+/// Per-rank byte budgets make evictions, and so sweeps and registry uids,
+/// differ between ranks.  The notes the rt layer folds into lockstep
+/// signatures must stay SPMD-uniform regardless, or an armed run reports
+/// a divergence that is not there.
+TEST(Soak, LockstepArmedUnderBudgetPressure) {
+  SoakConfig cfg;
+  cfg.n = 16;
+  cfg.steps = 2000;
+  cfg.sweep_every = 64;
+  cfg.sample_every = 250;
+  cfg.redist_every = 1;
+  cfg.halo_budget_bytes = std::size_t{64} << 10;
+  cfg.plan_budget_bytes = std::size_t{256} << 10;
+  const double want = amr_checksum(soak_reference(cfg));
+
+  msg::Machine m(4);
+  m.set_lockstep_check(true);
+  run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
+    const SoakResult res = run_soak(ctx, cfg);
+    ck.check_eq(res.checksum, want, ctx.rank(),
+                "soak checksum vs sequential reference");
+    ck.check(res.registry_swept > 0, ctx.rank(), "sweeps reclaimed");
+  });
+  EXPECT_EQ(m.lockstep().mismatches(), 0u);
 }
 
 }  // namespace

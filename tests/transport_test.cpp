@@ -1,95 +1,27 @@
-// The pluggable counted-exchange transport layer: VF_TRANSPORT parsing,
-// mailbox/shared-memory equivalence (results AND data-traffic accounting),
-// switching transports on a live machine, the zero-copy rendezvous's
-// failure containment (RankAbort mid-exchange, pre-agreed count mismatch,
-// machine reuse after an abort), and the allocation-free collective
-// scratch the transports feed.
+// Counted exchanges over the mailbox fabric: failure containment inside
+// the split-phase window (RankAbort mid-exchange, pre-agreed count
+// mismatch, machine reuse after an abort) and the allocation-free
+// collective scratch the exchanges feed.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "spmd_test_util.hpp"
-#include "vf/apps/amr_front.hpp"
-#include "vf/apps/smoothing_sim.hpp"
 #include "vf/msg/exchange_scratch.hpp"
-#include "vf/msg/transport.hpp"
-#include "vf/rt/dist_array.hpp"
+#include "vf/msg/spmd.hpp"
 
 namespace vf {
 namespace {
 
-using dist::block;
-using dist::DistributionType;
-using dist::IndexDomain;
-using dist::IndexVec;
 using msg::Context;
 using msg::ExchangeLane;
 using msg::ExchangeScratch;
 using msg::Machine;
 using msg::RankAbort;
-using msg::TransportKind;
 using testing::run_checked_on;
 using testing::SpmdChecker;
-
-/// Scoped VF_TRANSPORT override that restores the previous value.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* value) {
-    const char* old = std::getenv("VF_TRANSPORT");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value == nullptr) {
-      ::unsetenv("VF_TRANSPORT");
-    } else {
-      ::setenv("VF_TRANSPORT", value, 1);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv("VF_TRANSPORT", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("VF_TRANSPORT");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(TransportSelect, EnvVariableParsing) {
-  {
-    EnvGuard g(nullptr);
-    EXPECT_EQ(msg::default_transport_kind(), TransportKind::Mailbox);
-  }
-  {
-    EnvGuard g("mailbox");
-    EXPECT_EQ(msg::default_transport_kind(), TransportKind::Mailbox);
-  }
-  for (const char* shm : {"shm", "shared", "shared-memory", "shared_memory"}) {
-    EnvGuard g(shm);
-    EXPECT_EQ(msg::default_transport_kind(), TransportKind::SharedMemory)
-        << shm;
-  }
-  {
-    EnvGuard g("carrier-pigeon");
-    EXPECT_THROW((void)msg::default_transport_kind(), std::invalid_argument);
-  }
-  EXPECT_STREQ(msg::to_string(TransportKind::Mailbox), "mailbox");
-  EXPECT_STREQ(msg::to_string(TransportKind::SharedMemory), "shm");
-}
-
-TEST(TransportSelect, MachineExposesAndSwitchesKind) {
-  Machine m(2, {}, TransportKind::Mailbox);
-  EXPECT_EQ(m.transport_kind(), TransportKind::Mailbox);
-  m.set_transport(TransportKind::SharedMemory);
-  EXPECT_EQ(m.transport_kind(), TransportKind::SharedMemory);
-  m.set_transport(TransportKind::Mailbox);
-  EXPECT_EQ(m.transport_kind(), TransportKind::Mailbox);
-}
 
 /// A ring alltoallv_known_into round on an existing machine; returns
 /// nothing but checks every received value.
@@ -111,63 +43,15 @@ void ring_exchange_round(Context& ctx, SpmdChecker& ck, int round) {
   }
 }
 
-/// The same workloads under both transports must produce bitwise-equal
-/// results and, by design, identical data-message accounting: the
-/// zero-copy transport meters every published payload exactly as the
-/// framed path does.
-TEST(TransportEquivalence, WorkloadResultsAndAccountingMatch) {
-  double checksum[2] = {0.0, 0.0};
-  msg::CommStats stats[2];
-  const TransportKind kinds[2] = {TransportKind::Mailbox,
-                                  TransportKind::SharedMemory};
-  for (int t = 0; t < 2; ++t) {
-    Machine m(4, {}, kinds[t]);
-    SpmdChecker ck;
-    msg::run_spmd(m, [&](Context& ctx) {
-      ring_exchange_round(ctx, ck, 7);
-      const auto r = apps::run_smoothing(
-          ctx,
-          {.n = 16, .steps = 3, .stencil = apps::SmoothStencil::NinePoint,
-           .split_phase = true},
-          apps::SmoothLayout::Grid2D);
-      if (ctx.rank() == 0) checksum[t] = r.checksum;
-    });
-    ck.expect_clean();
-    stats[t] = m.total_stats();
-  }
-  EXPECT_EQ(checksum[0], checksum[1]);
-  EXPECT_EQ(stats[0].data_messages, stats[1].data_messages);
-  EXPECT_EQ(stats[0].data_bytes, stats[1].data_bytes);
-  EXPECT_EQ(stats[0].collectives, stats[1].collectives);
-}
+// ---- failure containment inside the split-phase window ------------------
 
-TEST(TransportEquivalence, SetTransportBetweenRunsOnOneMachine) {
-  Machine m(4);
-  double first = 0.0;
-  double second = 0.0;
-  run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
-    ring_exchange_round(ctx, ck, 1);
-    const auto r = apps::run_amr_front(ctx, {.n = 16, .steps = 2});
-    if (ctx.rank() == 0) first = r.checksum;
-  });
-  m.set_transport(TransportKind::SharedMemory);
-  run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
-    ring_exchange_round(ctx, ck, 2);
-    const auto r = apps::run_amr_front(
-        ctx, {.n = 16, .steps = 2, .split_phase = true});
-    if (ctx.rank() == 0) second = r.checksum;
-  });
-  EXPECT_EQ(first, second);
-}
-
-// ---- zero-copy failure containment ----------------------------------------
-
-/// One rank dies between begin and end while its peers are already
-/// blocked in the zero-copy rendezvous (waiting for rank 2's acks that
-/// will never come).  The fence must wake every peer with a RankAbort --
-/// not a hang -- and run_spmd rethrows the origin's original error.
+/// One rank dies between begin and end of a split-phase exchange.  Its
+/// payloads already left at begin, so its peers complete that exchange
+/// and then block in the next one, waiting for a payload that never
+/// comes.  The fence must wake every peer with a RankAbort -- not a hang
+/// -- and run_spmd rethrows the origin's original error.
 TEST(TransportAbort, RankDeathMidExchangeWakesBlockedPeers) {
-  Machine m(4, {}, TransportKind::SharedMemory);
+  Machine m(4);
   m.set_recv_watchdog(std::chrono::milliseconds(2000));
   try {
     msg::run_spmd(m, [](Context& ctx) {
@@ -180,7 +64,8 @@ TEST(TransportAbort, RankDeathMidExchangeWakesBlockedPeers) {
       if (ctx.rank() == 2) {
         throw std::runtime_error("rank 2 dies mid-exchange");
       }
-      ctx.end_exchange(lane, tag);  // peers block on rank 2's ack
+      ctx.end_exchange(lane, tag);
+      ctx.alltoallv_known_into(lane);  // peers block on rank 2's payload
     });
     FAIL() << "expected the origin's runtime_error";
   } catch (const std::runtime_error& e) {
@@ -195,19 +80,19 @@ TEST(TransportAbort, RankDeathMidExchangeWakesBlockedPeers) {
       EXPECT_EQ(f.abort_origin, 2) << "rank " << f.rank;
     }
   }
-  // reset_failure_state drops the orphaned publications: the machine is
-  // fully reusable for a clean zero-copy run.
+  // reset_failure_state drops the orphaned frames: the machine is fully
+  // reusable for a clean run.
   run_checked_on(m, [](Context& ctx, SpmdChecker& ck) {
     ring_exchange_round(ctx, ck, 3);
   });
   EXPECT_FALSE(m.last_failure_report().any_failed);
 }
 
-/// Disagreeing pre-agreed counts (sender publishes 2 elements, receiver
-/// expects 3) surface as a structured RankAbort naming the mismatch, on
-/// both ranks, instead of reading past a buffer.
+/// Disagreeing pre-agreed counts (sender sends 2 elements, receiver
+/// expects 3) surface as a structured RankAbort naming the source rank,
+/// the tag and both byte counts, instead of reading past a buffer.
 TEST(TransportAbort, PreAgreedCountMismatchAborts) {
-  Machine m(2, {}, TransportKind::SharedMemory);
+  Machine m(2);
   m.set_recv_watchdog(std::chrono::milliseconds(2000));
   try {
     msg::run_spmd(m, [](Context& ctx) {
@@ -218,7 +103,7 @@ TEST(TransportAbort, PreAgreedCountMismatchAborts) {
         lane.prepare(std::vector<std::uint64_t>{0, 2},
                      std::vector<std::uint64_t>{0, 1});
       } else {
-        // Sends 1 to rank 0, expects 3 -- but rank 0 published 2.
+        // Sends 1 to rank 0, expects 3 -- but rank 0 sent 2.
         lane.prepare(std::vector<std::uint64_t>{1, 0},
                      std::vector<std::uint64_t>{3, 0});
       }
@@ -226,11 +111,11 @@ TEST(TransportAbort, PreAgreedCountMismatchAborts) {
     });
     FAIL() << "expected RankAbort";
   } catch (const RankAbort& e) {
-    // Unarmed, the shared-memory rendezvous itself detects the
-    // disagreement on the receiver ("pre-agreed counts disagree"); with
-    // the lockstep checker armed (the VF_LOCKSTEP=1 CI leg) the same
-    // divergence is caught one layer earlier, at op entry, by whichever
-    // rank records second ("pre-agreed counts diverged").
+    // Unarmed, end_exchange's receive loop detects the disagreement on
+    // the receiver ("pre-agreed counts disagree"); with the lockstep
+    // checker armed (the VF_LOCKSTEP=1 CI leg) the same divergence is
+    // caught one layer earlier, at op entry, by whichever rank records
+    // second ("pre-agreed counts diverged").
     if (e.reason.find("lockstep mismatch") != std::string::npos) {
       EXPECT_NE(e.reason.find("pre-agreed counts diverged"),
                 std::string::npos)
@@ -240,6 +125,10 @@ TEST(TransportAbort, PreAgreedCountMismatchAborts) {
       EXPECT_EQ(e.origin_rank, 1);  // the receiver detects the mismatch
       EXPECT_NE(e.reason.find("pre-agreed counts disagree"),
                 std::string::npos)
+          << e.reason;
+      EXPECT_NE(e.reason.find("from rank 0 (tag -"), std::string::npos)
+          << e.reason;
+      EXPECT_NE(e.reason.find("is 16 bytes, expected 24"), std::string::npos)
           << e.reason;
     }
   }
